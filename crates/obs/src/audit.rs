@@ -44,6 +44,7 @@
 //! than checked.
 
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
+use crate::idmap::IdMap;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -171,8 +172,9 @@ pub struct AuditDelta {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct InvariantAuditor {
-    /// Reconstructed per-object replica presence.
-    state: BTreeMap<u32, BTreeMap<u16, Presence>>,
+    /// Reconstructed per-object replica presence, indexed by host id
+    /// (hosts past the end are `Unknown`).
+    state: IdMap<u32, Vec<Presence>>,
     /// Directory notifications (counts-resets) of the in-progress
     /// placement epoch, not yet paired with their placement action.
     pending: BTreeMap<u32, Vec<(u64, f64, ResetCause)>>,
@@ -214,19 +216,19 @@ impl InvariantAuditor {
 
     fn presence(&self, object: u32, host: u16) -> Presence {
         self.state
-            .get(&object)
-            .and_then(|hosts| hosts.get(&host))
+            .get(object)
+            .and_then(|hosts| hosts.get(usize::from(host)))
             .copied()
             .unwrap_or(Presence::Unknown)
     }
 
     fn set_presence(&mut self, object: u32, host: u16, next: Presence) {
-        let slot = self
-            .state
-            .entry(object)
-            .or_default()
-            .entry(host)
-            .or_default();
+        let hosts = self.state.get_or_default(object);
+        let host = usize::from(host);
+        if host >= hosts.len() {
+            hosts.resize(host + 1, Presence::Unknown);
+        }
+        let slot = &mut hosts[host];
         match (*slot, next) {
             (Presence::Present, Presence::Present) => {}
             (Presence::Present, _) => self.present_count -= 1,

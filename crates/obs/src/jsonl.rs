@@ -19,9 +19,11 @@ use std::fmt::Write as _;
 // Writing
 // ---------------------------------------------------------------------------
 //
-// All serialization goes through `write!` into a caller-owned `String`
-// (`fmt::Write` on `String` is infallible), so a recorder that reuses
-// its line buffer serializes events with zero heap allocations.
+// All serialization appends to a caller-owned `String`, so a recorder
+// that reuses its line buffer serializes events with zero heap
+// allocations. Integers go through a digit writer and floats through
+// an exact fast path (see `push_f64`) rather than `core::fmt`, which
+// costs several times more per value; the bytes are the same.
 
 fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -49,19 +51,76 @@ fn push_tag(out: &mut String, tag: &'static str) {
     out.push('"');
 }
 
-fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
+/// Appends `key` (a literal `,"name":` fragment) then the integer.
+fn push_field(out: &mut String, key: &str, v: impl Into<u64>) {
+    out.push_str(key);
+    push_u64(out, v.into());
+}
+
+/// Appends the decimal digits of `v`, as `{v}` would.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
+    out.push_str(std::str::from_utf8(&digits[start..]).expect("ascii digits"));
+}
+
+/// Appends `v` as `{v}` would, or `null` when it is not finite.
+///
+/// Fast path: when `v` is the double nearest a multiple of 10⁻⁶ below
+/// 10⁹ in magnitude — every `SimTime` in seconds, and the protocol's
+/// constants — the digits are written directly. That decimal has at
+/// most 15 significant digits, and a double nearest such a decimal
+/// has it as its unique shortest round-trip representation, which is
+/// exactly what `Display` prints. Any other value falls back to `{v}`.
+fn push_f64(out: &mut String, v: f64) {
+    if !v.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let Some(micros) = exact_micros(v) else {
+        let _ = write!(out, "{v}");
+        return;
+    };
+    if v.is_sign_negative() {
+        out.push('-');
+    }
+    push_u64(out, micros / 1_000_000);
+    let mut frac = micros % 1_000_000;
+    if frac != 0 {
+        let mut digits = *b".000000";
+        let mut end = digits.len();
+        while frac % 10 == 0 {
+            frac /= 10;
+            end -= 1;
+        }
+        let mut i = end;
+        while frac != 0 {
+            i -= 1;
+            digits[i] = b'0' + (frac % 10) as u8;
+            frac /= 10;
+        }
+        out.push_str(std::str::from_utf8(&digits[..end]).expect("ascii digits"));
+    }
+}
+
+/// `|s|` for `s = round(v·10⁶)` when `|s| < 10¹⁵` and `s / 10⁶ == v`,
+/// i.e. when `v` is the double nearest the decimal `s·10⁻⁶`.
+fn exact_micros(v: f64) -> Option<u64> {
+    let s = (v * 1e6).round();
+    (s.abs() < 1e15 && s / 1e6 == v).then_some(s.abs() as u64)
 }
 
 fn push_opt_u64(out: &mut String, v: Option<u64>) {
     match v {
-        Some(v) => {
-            let _ = write!(out, "{v}");
-        }
+        Some(v) => push_u64(out, v),
         None => out.push_str("null"),
     }
 }
@@ -71,6 +130,10 @@ fn push_opt_f64(out: &mut String, v: Option<f64>) {
         Some(v) => push_f64(out, v),
         None => out.push_str("null"),
     }
+}
+
+fn push_bool(out: &mut String, v: bool) {
+    out.push_str(if v { "true" } else { "false" });
 }
 
 impl Event {
@@ -89,23 +152,25 @@ impl Event {
     /// trailing newline). Reusing the buffer across events makes the
     /// serialization path allocation-free once its capacity plateaus.
     pub fn write_json_line(&self, o: &mut String) {
-        let _ = write!(o, "{{\"seq\":{},\"t\":", self.seq);
+        push_field(o, "{\"seq\":", self.seq);
+        o.push_str(",\"t\":");
         push_f64(o, self.t);
         o.push_str(",\"parent\":");
         push_opt_u64(o, self.parent);
-        let _ = write!(o, ",\"qd\":{},\"type\":\"", self.queue_depth);
+        push_field(o, ",\"qd\":", self.queue_depth);
+        o.push_str(",\"type\":\"");
         o.push_str(self.type_name());
         o.push('"');
         match &self.kind {
             EventKind::RequestArrived { gateway, object } => {
-                let _ = write!(o, ",\"gateway\":{gateway},\"object\":{object}");
+                push_field(o, ",\"gateway\":", *gateway);
+                push_field(o, ",\"object\":", *object);
             }
             EventKind::Decision(d) => {
-                let _ = write!(
-                    o,
-                    ",\"object\":{},\"gateway\":{},\"chosen\":{},\"branch\":",
-                    d.object, d.gateway, d.chosen
-                );
+                push_field(o, ",\"object\":", d.object);
+                push_field(o, ",\"gateway\":", d.gateway);
+                push_field(o, ",\"chosen\":", d.chosen);
+                o.push_str(",\"branch\":");
                 push_tag(o, d.branch.as_str());
                 o.push_str(",\"constant\":");
                 push_f64(o, d.constant);
@@ -122,13 +187,13 @@ impl Event {
                     if i > 0 {
                         o.push(',');
                     }
-                    let _ = write!(
-                        o,
-                        "{{\"host\":{},\"rcnt\":{},\"aff\":{},\"unit\":",
-                        c.host, c.rcnt, c.aff
-                    );
+                    push_field(o, "{\"host\":", c.host);
+                    push_field(o, ",\"rcnt\":", c.rcnt);
+                    push_field(o, ",\"aff\":", c.aff);
+                    o.push_str(",\"unit\":");
                     push_f64(o, c.unit);
-                    let _ = write!(o, ",\"distance\":{}}}", c.distance);
+                    push_field(o, ",\"distance\":", c.distance);
+                    o.push('}');
                 }
                 o.push(']');
             }
@@ -139,27 +204,27 @@ impl Event {
                 latency,
                 hops,
             } => {
-                let _ = write!(
-                    o,
-                    ",\"gateway\":{gateway},\"object\":{object},\"host\":{host},\"latency\":"
-                );
+                push_field(o, ",\"gateway\":", *gateway);
+                push_field(o, ",\"object\":", *object);
+                push_field(o, ",\"host\":", *host);
+                o.push_str(",\"latency\":");
                 push_f64(o, *latency);
-                let _ = write!(o, ",\"hops\":{hops}");
+                push_field(o, ",\"hops\":", *hops);
             }
             EventKind::RequestFailed {
                 gateway,
                 object,
                 reason,
             } => {
-                let _ = write!(o, ",\"gateway\":{gateway},\"object\":{object},\"reason\":");
+                push_field(o, ",\"gateway\":", *gateway);
+                push_field(o, ",\"object\":", *object);
+                o.push_str(",\"reason\":");
                 push_tag(o, reason.as_str());
             }
             EventKind::PlacementAction(p) => {
-                let _ = write!(
-                    o,
-                    ",\"host\":{},\"object\":{},\"action\":",
-                    p.host, p.object
-                );
+                push_field(o, ",\"host\":", p.host);
+                push_field(o, ",\"object\":", p.object);
+                o.push_str(",\"action\":");
                 push_tag(o, p.action.as_str());
                 o.push_str(",\"target\":");
                 push_opt_u64(o, p.target.map(u64::from));
@@ -175,7 +240,8 @@ impl Event {
                 push_f64(o, p.replication_threshold);
             }
             EventKind::CountsReset { object, cause } => {
-                let _ = write!(o, ",\"object\":{object},\"cause\":");
+                push_field(o, ",\"object\":", *object);
+                o.push_str(",\"cause\":");
                 push_tag(o, cause.as_str());
             }
             EventKind::Fault { desc } => {
@@ -187,25 +253,32 @@ impl Event {
                 target,
                 elapsed,
             } => {
-                let _ = write!(o, ",\"object\":{object},\"target\":{target},\"elapsed\":");
+                push_field(o, ",\"object\":", *object);
+                push_field(o, ",\"target\":", *target);
+                o.push_str(",\"elapsed\":");
                 push_f64(o, *elapsed);
             }
             EventKind::ProviderUpdate(u) => {
-                let _ = write!(o, ",\"object\":{},\"class\":", u.object);
+                push_field(o, ",\"object\":", u.object);
+                o.push_str(",\"class\":");
                 push_tag(o, u.class.as_str());
-                let _ = write!(
-                    o,
-                    ",\"version\":{},\"primary\":{},\"targets\":{},\
-                     \"bytes_hops\":{},\"reassigned\":{}",
-                    u.version, u.primary, u.targets, u.bytes_hops, u.reassigned
-                );
+                push_field(o, ",\"version\":", u.version);
+                push_field(o, ",\"primary\":", u.primary);
+                push_field(o, ",\"targets\":", u.targets);
+                push_field(o, ",\"bytes_hops\":", u.bytes_hops);
+                o.push_str(",\"reassigned\":");
+                push_bool(o, u.reassigned);
             }
             EventKind::UpdateDelivered(u) => {
-                let _ = write!(o, ",\"object\":{},\"host\":{},\"class\":", u.object, u.host);
+                push_field(o, ",\"object\":", u.object);
+                push_field(o, ",\"host\":", u.host);
+                o.push_str(",\"class\":");
                 push_tag(o, u.class.as_str());
-                let _ = write!(o, ",\"version\":{},\"lag\":", u.version);
+                push_field(o, ",\"version\":", u.version);
+                o.push_str(",\"lag\":");
                 push_f64(o, u.lag);
-                let _ = write!(o, ",\"wasted\":{}", u.wasted);
+                o.push_str(",\"wasted\":");
+                push_bool(o, u.wasted);
             }
         }
         o.push('}');
@@ -891,6 +964,179 @@ mod tests {
             lag: 0.31,
             wasted: false,
         })));
+    }
+
+    /// One event of every kind, carrying the writer's edge values:
+    /// `-0.0`, non-finite floats, off-grid and large floats, the
+    /// values either side of the fast path's limit, and integer maxima.
+    fn pinned_events() -> Vec<Event> {
+        let at = |seq, t, kind| Event {
+            seq,
+            parent: Some(seq.saturating_sub(1)),
+            t,
+            queue_depth: 7,
+            kind,
+        };
+        vec![
+            Event {
+                seq: u64::MAX,
+                parent: None,
+                t: -0.0,
+                queue_depth: u32::MAX,
+                kind: EventKind::RequestArrived {
+                    gateway: u16::MAX,
+                    object: u32::MAX,
+                },
+            },
+            at(
+                2,
+                0.1 + 0.2,
+                EventKind::Decision(DecisionEvent {
+                    object: 42,
+                    gateway: 7,
+                    chosen: 3,
+                    branch: DecisionBranch::LeastRequested,
+                    constant: 2.0,
+                    closest: Some(5),
+                    least: None,
+                    unit_closest: Some(1.0 / 3.0),
+                    unit_least: Some(f64::NAN),
+                    candidates: vec![
+                        CandidateSnapshot {
+                            host: 3,
+                            rcnt: u64::MAX,
+                            aff: u32::MAX,
+                            unit: 5e-7,
+                            distance: 0,
+                        },
+                        CandidateSnapshot {
+                            host: 5,
+                            rcnt: 10,
+                            aff: 1,
+                            unit: f64::INFINITY,
+                            distance: 6,
+                        },
+                    ],
+                }),
+            ),
+            at(
+                3,
+                999_999_999.999_999,
+                EventKind::RequestServed {
+                    gateway: 1,
+                    object: 2,
+                    host: 3,
+                    latency: 1e9,
+                    hops: u32::MAX,
+                },
+            ),
+            at(
+                4,
+                9_007_199_254_740_991.0,
+                EventKind::RequestFailed {
+                    gateway: 0,
+                    object: 0,
+                    reason: FailReason::CrashedMidService,
+                },
+            ),
+            at(
+                5,
+                1e21,
+                EventKind::PlacementAction(PlacementActionEvent {
+                    host: 3,
+                    object: 42,
+                    action: PlacementActionKind::LoadReplicate,
+                    target: Some(9),
+                    unit_rate: -999_999_999.999_999,
+                    share: Some(0.18),
+                    ratio: None,
+                    deletion_threshold: 0.01,
+                    replication_threshold: f64::NEG_INFINITY,
+                }),
+            ),
+            at(
+                6,
+                1e-7,
+                EventKind::CountsReset {
+                    object: 9000,
+                    cause: ResetCause::Purge,
+                },
+            ),
+            at(
+                7,
+                123.456_789,
+                EventKind::Fault {
+                    desc: "link-slow 21-22 x4 \"q\" \\ \u{1}\n".into(),
+                },
+            ),
+            at(
+                8,
+                1e15 + 0.5,
+                EventKind::ReReplication {
+                    object: 17,
+                    target: 4,
+                    elapsed: -0.000_001,
+                },
+            ),
+            at(
+                9,
+                4_503_599_627_370_496.5,
+                EventKind::ProviderUpdate(ProviderUpdateEvent {
+                    object: 1,
+                    class: ConsistencyClass::Type3,
+                    version: 0,
+                    primary: 0,
+                    targets: u16::MAX,
+                    bytes_hops: u64::MAX,
+                    reassigned: true,
+                }),
+            ),
+            at(
+                10,
+                -0.000_025,
+                EventKind::UpdateDelivered(UpdateDeliveredEvent {
+                    object: 512,
+                    host: 52,
+                    class: ConsistencyClass::Type1,
+                    version: 12,
+                    lag: 0.1 + 0.7,
+                    wasted: false,
+                }),
+            ),
+        ]
+    }
+
+    /// The writer's output for [`pinned_events`], recorded from the
+    /// `core::fmt`-based writer it replaced.
+    const PINNED_LINES: [&str; 10] = [
+        r#"{"seq":18446744073709551615,"t":-0,"parent":null,"qd":4294967295,"type":"request","gateway":65535,"object":4294967295}"#,
+        r#"{"seq":2,"t":0.30000000000000004,"parent":1,"qd":7,"type":"decision","object":42,"gateway":7,"chosen":3,"branch":"least-requested","constant":2,"closest":5,"least":null,"unit_closest":0.3333333333333333,"unit_least":null,"candidates":[{"host":3,"rcnt":18446744073709551615,"aff":4294967295,"unit":0.0000005,"distance":0},{"host":5,"rcnt":10,"aff":1,"unit":null,"distance":6}]}"#,
+        r#"{"seq":3,"t":999999999.999999,"parent":2,"qd":7,"type":"served","gateway":1,"object":2,"host":3,"latency":1000000000,"hops":4294967295}"#,
+        r#"{"seq":4,"t":9007199254740991,"parent":3,"qd":7,"type":"failed","gateway":0,"object":0,"reason":"crashed-mid-service"}"#,
+        r#"{"seq":5,"t":1000000000000000000000,"parent":4,"qd":7,"type":"placement","host":3,"object":42,"action":"load-replicate","target":9,"unit_rate":-999999999.999999,"share":0.18,"ratio":null,"u":0.01,"m":null}"#,
+        r#"{"seq":6,"t":0.0000001,"parent":5,"qd":7,"type":"counts-reset","object":9000,"cause":"purge"}"#,
+        r#"{"seq":7,"t":123.456789,"parent":6,"qd":7,"type":"fault","desc":"link-slow 21-22 x4 \"q\" \\ \u0001\n"}"#,
+        r#"{"seq":8,"t":1000000000000000.5,"parent":7,"qd":7,"type":"re-replication","object":17,"target":4,"elapsed":-0.000001}"#,
+        r#"{"seq":9,"t":4503599627370496,"parent":8,"qd":7,"type":"provider-update","object":1,"class":"type-3","version":0,"primary":0,"targets":65535,"bytes_hops":18446744073709551615,"reassigned":true}"#,
+        r#"{"seq":10,"t":-0.000025,"parent":9,"qd":7,"type":"update-delivered","object":512,"host":52,"class":"type-1","version":12,"lag":0.7999999999999999,"wasted":false}"#,
+    ];
+
+    #[test]
+    fn writer_bytes_are_pinned_for_every_kind_and_edge_value() {
+        let events = pinned_events();
+        assert_eq!(events.len(), PINNED_LINES.len());
+        let mut buf = String::new();
+        for (event, want) in events.iter().zip(PINNED_LINES) {
+            buf.clear();
+            event.write_json_line(&mut buf);
+            assert_eq!(buf, want);
+            // Every line parses, and re-serializes to the same bytes
+            // (non-finite values parse back as NaN and write as null).
+            let back = Event::from_json_line(want).expect("pinned line parses");
+            assert_eq!(back.to_json_line(), want);
+        }
+        let kinds: std::collections::BTreeSet<&str> = events.iter().map(Event::type_name).collect();
+        assert_eq!(kinds.len(), crate::EVENT_TYPES.len(), "one event per kind");
     }
 
     #[test]

@@ -22,6 +22,7 @@
 
 use crate::audit::InvariantAuditor;
 use crate::event::{Event, EventKind, PlacementActionKind, ResetCause};
+use crate::idmap::IdMap;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -328,8 +329,8 @@ impl ProtocolHealth {
 pub struct ObjectLedger {
     cfg: LedgerConfig,
     auditor: InvariantAuditor,
-    objects: BTreeMap<u32, ObjectState>,
-    nodes: BTreeMap<u16, NodeChurn>,
+    objects: IdMap<u32, ObjectState>,
+    nodes: IdMap<u16, NodeChurn>,
     requests_total: u64,
     served_total: u64,
     relocations_total: u64,
@@ -362,7 +363,7 @@ impl ObjectLedger {
     /// objects the stream never relocated).
     pub fn timeline(&self, object: u32) -> &[TimelineStep] {
         self.objects
-            .get(&object)
+            .get(object)
             .map(|s| s.timeline.as_slice())
             .unwrap_or(&[])
     }
@@ -370,14 +371,14 @@ impl ObjectLedger {
     /// Timeline steps discarded for `object` past the capacity cap.
     pub fn timeline_dropped(&self, object: u32) -> u64 {
         self.objects
-            .get(&object)
+            .get(object)
             .map(|s| s.timeline_dropped)
             .unwrap_or(0)
     }
 
     /// One object's churn counters, if any event mentioned it.
     pub fn object(&self, object: u32) -> Option<ObjectChurn> {
-        self.objects.get(&object).map(|s| s.churn)
+        self.objects.get(object).map(|s| s.churn)
     }
 
     /// Hosts `object` is currently reconstructed to have replicas on.
@@ -385,7 +386,6 @@ impl ObjectLedger {
         let mut hosts: Vec<u16> = self
             .nodes
             .keys()
-            .copied()
             .filter(|&h| self.auditor.is_present(object, h))
             .collect();
         // Nodes only enter `self.nodes` once they serve or move bytes;
@@ -415,7 +415,7 @@ impl ObjectLedger {
     /// (`usize::MAX` for all).
     pub fn churn_table(&self, top: usize) -> Vec<(u32, ObjectChurn)> {
         let mut rows: Vec<(u32, ObjectChurn)> =
-            self.objects.iter().map(|(&o, s)| (o, s.churn)).collect();
+            self.objects.iter().map(|(o, s)| (o, s.churn)).collect();
         rows.sort_by(|a, b| {
             b.1.bytes_moved
                 .cmp(&a.1.bytes_moved)
@@ -428,7 +428,7 @@ impl ObjectLedger {
 
     /// Per-node relocation/service rows, ascending by node id.
     pub fn node_table(&self) -> Vec<(u16, NodeChurn)> {
-        self.nodes.iter().map(|(&n, &c)| (n, c)).collect()
+        self.nodes.iter().map(|(n, &c)| (n, c)).collect()
     }
 
     /// Folds one event (must arrive in sequence order, as every
@@ -441,12 +441,12 @@ impl ObjectLedger {
         match &event.kind {
             EventKind::RequestArrived { object, .. } => {
                 self.requests_total += 1;
-                self.objects.entry(*object).or_default().churn.requests += 1;
+                self.objects.get_or_default(*object).churn.requests += 1;
             }
             EventKind::RequestServed { object, host, .. } => {
                 self.served_total += 1;
-                self.objects.entry(*object).or_default().churn.served += 1;
-                self.nodes.entry(*host).or_default().served += 1;
+                self.objects.get_or_default(*object).churn.served += 1;
+                self.nodes.get_or_default(*host).served += 1;
             }
             _ => {}
         }
@@ -458,21 +458,21 @@ impl ObjectLedger {
 
         // Relocation accounting from the auditor's delta.
         if let Some((target, new_copy)) = delta.created {
-            let state = self.objects.entry(object).or_default();
+            let state = self.objects.get_or_default(object);
             state.churn.relocations += 1;
             self.relocations_total += 1;
             if new_copy {
                 state.churn.bytes_moved += object_size;
                 state.created_at.insert(target, event.t);
                 self.bytes_moved_total += object_size;
-                self.nodes.entry(target).or_default().bytes_in += object_size;
+                self.nodes.get_or_default(target).bytes_in += object_size;
                 if let EventKind::PlacementAction(p) = &event.kind {
-                    self.nodes.entry(p.host).or_default().bytes_out += object_size;
+                    self.nodes.get_or_default(p.host).bytes_out += object_size;
                 }
             }
         }
         if let Some((from, to)) = delta.migration {
-            let state = self.objects.entry(object).or_default();
+            let state = self.objects.get_or_default(object);
             if let Some((prev_from, prev_to, prev_t)) = state.last_migration {
                 if prev_from == to && prev_to == from && event.t - prev_t <= churn_window {
                     state.churn.ping_pong += 1;
@@ -482,7 +482,7 @@ impl ObjectLedger {
             state.last_migration = Some((from, to, event.t));
         }
         if let Some(host) = delta.removed {
-            let state = self.objects.entry(object).or_default();
+            let state = self.objects.get_or_default(object);
             if let Some(created) = state.created_at.remove(&host) {
                 if event.t - created <= churn_window {
                     state.churn.replicate_drop += 1;
@@ -523,7 +523,7 @@ impl ObjectLedger {
         };
         if let Some(change) = change {
             let cap = self.cfg.timeline_capacity.max(1);
-            let state = self.objects.entry(object).or_default();
+            let state = self.objects.get_or_default(object);
             if state.timeline.len() >= cap {
                 state.timeline.remove(0);
                 state.timeline_dropped += 1;

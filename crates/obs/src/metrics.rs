@@ -17,7 +17,10 @@
 //! windows, and latency samples arrive in the same order they were
 //! recorded.
 
-use crate::event::{ConsistencyClass, Event, EventKind, PlacementActionKind};
+use crate::event::{
+    ConsistencyClass, DecisionBranch, Event, EventKind, PlacementActionKind, EVENT_TYPES,
+};
+use crate::idmap::IdMap;
 use radar_stats::{BinSpec, Histogram, OnlineSummary, P2Quantile, TimeSeries, WindowedRate};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -117,9 +120,10 @@ pub struct MetricsObserver {
     cfg: MetricsConfig,
     events_seen: u64,
     last_t: f64,
-    type_counts: BTreeMap<&'static str, u64>,
-    hosts: BTreeMap<u16, HostGauge>,
-    objects: BTreeMap<u32, ObjectCounters>,
+    /// Counts indexed like [`EVENT_TYPES`].
+    type_counts: [u64; EVENT_TYPES.len()],
+    hosts: IdMap<u16, HostGauge>,
+    objects: IdMap<u32, ObjectCounters>,
     bandwidth: TimeSeries,
     max_load: TimeSeries,
     next_load_sample: f64,
@@ -130,8 +134,10 @@ pub struct MetricsObserver {
     served_rate: WindowedRate,
     failed_rate: WindowedRate,
     re_replication_rate: WindowedRate,
-    branch_counts: BTreeMap<&'static str, u64>,
-    placement_counts: BTreeMap<&'static str, u64>,
+    /// Counts indexed by [`DecisionBranch`] discriminant.
+    branch_counts: [u64; BRANCHES.len()],
+    /// Counts indexed by [`PlacementActionKind`] discriminant.
+    placement_counts: [u64; PLACEMENT_ACTIONS.len()],
     recent_faults: VecDeque<(f64, String)>,
     faults_total: u64,
     failed_total: u64,
@@ -170,9 +176,9 @@ impl MetricsObserver {
             cfg,
             events_seen: 0,
             last_t: 0.0,
-            type_counts: BTreeMap::new(),
-            hosts: BTreeMap::new(),
-            objects: BTreeMap::new(),
+            type_counts: [0; EVENT_TYPES.len()],
+            hosts: IdMap::default(),
+            objects: IdMap::default(),
             bandwidth,
             max_load,
             next_load_sample,
@@ -180,8 +186,8 @@ impl MetricsObserver {
             latency_p50: P2Quantile::new(0.5),
             latency_p99: P2Quantile::new(0.99),
             latency_hist,
-            branch_counts: BTreeMap::new(),
-            placement_counts: BTreeMap::new(),
+            branch_counts: [0; BRANCHES.len()],
+            placement_counts: [0; PLACEMENT_ACTIONS.len()],
             recent_faults: VecDeque::new(),
             faults_total: 0,
             failed_total: 0,
@@ -233,14 +239,14 @@ impl MetricsObserver {
         if event.t > self.last_t {
             self.last_t = event.t;
         }
-        *self.type_counts.entry(event.type_name()).or_insert(0) += 1;
+        self.type_counts[type_index(&event.kind)] += 1;
         match &event.kind {
             EventKind::RequestArrived { object, .. } => {
                 self.request_total += 1;
-                self.objects.entry(*object).or_default().requests += 1;
+                self.objects.get_or_default(*object).requests += 1;
             }
             EventKind::Decision(d) => {
-                *self.branch_counts.entry(d.branch.as_str()).or_insert(0) += 1;
+                self.branch_counts[d.branch as usize] += 1;
             }
             EventKind::RequestServed {
                 object,
@@ -251,8 +257,8 @@ impl MetricsObserver {
             } => {
                 self.served_total += 1;
                 self.served_rate.record(event.t);
-                self.objects.entry(*object).or_default().served += 1;
-                let gauge = self.hosts.entry(*host).or_insert_with(|| HostGauge {
+                self.objects.get_or_default(*object).served += 1;
+                let gauge = self.hosts.get_or_insert_with(*host, || HostGauge {
                     rate: WindowedRate::new(self.cfg.load_interval),
                     served_total: 0,
                 });
@@ -268,11 +274,11 @@ impl MetricsObserver {
             EventKind::RequestFailed { object, .. } => {
                 self.failed_total += 1;
                 self.failed_rate.record(event.t);
-                self.objects.entry(*object).or_default().failed += 1;
+                self.objects.get_or_default(*object).failed += 1;
             }
             EventKind::PlacementAction(p) => {
-                *self.placement_counts.entry(p.action.as_str()).or_insert(0) += 1;
-                let counters = self.objects.entry(p.object).or_default();
+                self.placement_counts[p.action as usize] += 1;
+                let counters = self.objects.get_or_default(p.object);
                 counters.placement_actions += 1;
                 counters.replica_delta += match p.action {
                     PlacementActionKind::GeoReplicate | PlacementActionKind::LoadReplicate => 1,
@@ -291,7 +297,7 @@ impl MetricsObserver {
             EventKind::ReReplication { object, .. } => {
                 self.re_replications_total += 1;
                 self.re_replication_rate.record(event.t);
-                self.objects.entry(*object).or_default().replica_delta += 1;
+                self.objects.get_or_default(*object).replica_delta += 1;
             }
             EventKind::ProviderUpdate(u) => {
                 // Same fold the simulator applies at issue time: one
@@ -427,7 +433,7 @@ impl MetricsObserver {
     pub fn host_loads(&self) -> Vec<(u16, f64, u64)> {
         self.hosts
             .iter()
-            .map(|(&h, g)| (h, g.rate.rate(), g.served_total))
+            .map(|(h, g)| (h, g.rate.rate(), g.served_total))
             .collect()
     }
 
@@ -435,7 +441,7 @@ impl MetricsObserver {
     /// broken by object id).
     pub fn top_objects(&self, n: usize) -> Vec<(u32, ObjectCounters)> {
         let mut rows: Vec<(u32, ObjectCounters)> =
-            self.objects.iter().map(|(&o, &c)| (o, c)).collect();
+            self.objects.iter().map(|(o, &c)| (o, c)).collect();
         rows.sort_by(|a, b| b.1.requests.cmp(&a.1.requests).then(a.0.cmp(&b.0)));
         rows.truncate(n);
         rows
@@ -443,7 +449,7 @@ impl MetricsObserver {
 
     /// Counters for one object, if any event mentioned it.
     pub fn object(&self, object: u32) -> Option<ObjectCounters> {
-        self.objects.get(&object).copied()
+        self.objects.get(object).copied()
     }
 
     /// The most recent fault transitions `(t, description)`, oldest
@@ -452,21 +458,25 @@ impl MetricsObserver {
         self.recent_faults.iter()
     }
 
-    /// Per-event-type counts, keyed by stable type tag.
-    pub fn type_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.type_counts
+    /// Per-event-type counts, keyed by stable type tag (types never
+    /// seen are absent).
+    pub fn type_counts(&self) -> BTreeMap<&'static str, u64> {
+        tagged_counts(EVENT_TYPES.iter().copied(), &self.type_counts)
     }
 
     /// Redirector branch counts (`closest`, `least-requested`, …),
     /// keyed by the interned branch tag.
-    pub fn branch_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.branch_counts
+    pub fn branch_counts(&self) -> BTreeMap<&'static str, u64> {
+        tagged_counts(BRANCHES.iter().map(|b| b.as_str()), &self.branch_counts)
     }
 
     /// Placement action counts (`drop`, `geo-migrate`, …), keyed by the
     /// interned action tag.
-    pub fn placement_counts(&self) -> &BTreeMap<&'static str, u64> {
-        &self.placement_counts
+    pub fn placement_counts(&self) -> BTreeMap<&'static str, u64> {
+        tagged_counts(
+            PLACEMENT_ACTIONS.iter().map(|a| a.as_str()),
+            &self.placement_counts,
+        )
     }
 
     /// Propagation traffic (bytes × hops) from provider updates, binned
@@ -516,6 +526,51 @@ impl MetricsObserver {
     pub fn update_lag_type2(&self) -> &OnlineSummary {
         &self.update_lag_type2
     }
+}
+
+/// Every [`DecisionBranch`], in discriminant order.
+const BRANCHES: [DecisionBranch; 4] = [
+    DecisionBranch::Closest,
+    DecisionBranch::LeastRequested,
+    DecisionBranch::PrimaryFallback,
+    DecisionBranch::Policy,
+];
+
+/// Every [`PlacementActionKind`], in discriminant order.
+const PLACEMENT_ACTIONS: [PlacementActionKind; 7] = [
+    PlacementActionKind::Drop,
+    PlacementActionKind::AffinityReduce,
+    PlacementActionKind::DropRefused,
+    PlacementActionKind::GeoMigrate,
+    PlacementActionKind::GeoReplicate,
+    PlacementActionKind::LoadMigrate,
+    PlacementActionKind::LoadReplicate,
+];
+
+/// The event's position in [`EVENT_TYPES`].
+fn type_index(kind: &EventKind) -> usize {
+    match kind {
+        EventKind::RequestArrived { .. } => 0,
+        EventKind::Decision(_) => 1,
+        EventKind::RequestServed { .. } => 2,
+        EventKind::RequestFailed { .. } => 3,
+        EventKind::PlacementAction(_) => 4,
+        EventKind::CountsReset { .. } => 5,
+        EventKind::Fault { .. } => 6,
+        EventKind::ReReplication { .. } => 7,
+        EventKind::ProviderUpdate(_) => 8,
+        EventKind::UpdateDelivered(_) => 9,
+    }
+}
+
+/// The nonzero `counts`, keyed by the tag at the same index.
+fn tagged_counts(
+    tags: impl Iterator<Item = &'static str>,
+    counts: &[u64],
+) -> BTreeMap<&'static str, u64> {
+    tags.zip(counts.iter().copied())
+        .filter(|&(_, n)| n > 0)
+        .collect()
 }
 
 fn class_index(class: ConsistencyClass) -> usize {
@@ -743,6 +798,75 @@ mod tests {
         assert_eq!(m.branch_counts()["closest"], 1);
         assert_eq!(m.type_counts()["decision"], 1);
         assert_eq!(m.events_seen(), 2);
+    }
+
+    #[test]
+    fn count_tables_follow_discriminant_and_tag_order() {
+        for (i, b) in BRANCHES.iter().enumerate() {
+            assert_eq!(*b as usize, i);
+        }
+        for (i, a) in PLACEMENT_ACTIONS.iter().enumerate() {
+            assert_eq!(*a as usize, i);
+        }
+        let kinds = [
+            EventKind::RequestArrived {
+                gateway: 0,
+                object: 0,
+            },
+            EventKind::Decision(DecisionEvent::default()),
+            served(1, 0.0, 0, 0, 0.0, 0).kind,
+            EventKind::RequestFailed {
+                gateway: 0,
+                object: 0,
+                reason: FailReason::Unreachable,
+            },
+            EventKind::PlacementAction(PlacementActionEvent {
+                host: 0,
+                object: 0,
+                action: PlacementActionKind::Drop,
+                target: None,
+                unit_rate: 0.0,
+                share: None,
+                ratio: None,
+                deletion_threshold: 0.0,
+                replication_threshold: 0.0,
+            }),
+            EventKind::CountsReset {
+                object: 0,
+                cause: crate::event::ResetCause::Purge,
+            },
+            EventKind::Fault {
+                desc: String::new(),
+            },
+            EventKind::ReReplication {
+                object: 0,
+                target: 0,
+                elapsed: 0.0,
+            },
+            EventKind::ProviderUpdate(crate::event::ProviderUpdateEvent {
+                object: 0,
+                class: ConsistencyClass::Type1,
+                version: 0,
+                primary: 0,
+                targets: 0,
+                bytes_hops: 0,
+                reassigned: false,
+            }),
+            EventKind::UpdateDelivered(crate::event::UpdateDeliveredEvent {
+                object: 0,
+                host: 0,
+                class: ConsistencyClass::Type1,
+                version: 0,
+                lag: 0.0,
+                wasted: true,
+            }),
+        ];
+        assert_eq!(kinds.len(), EVENT_TYPES.len());
+        for (i, kind) in kinds.into_iter().enumerate() {
+            let e = ev(1, 0.0, kind);
+            assert_eq!(type_index(&e.kind), i);
+            assert_eq!(EVENT_TYPES[i], e.type_name());
+        }
     }
 
     #[test]

@@ -9,6 +9,10 @@ echo "== clippy (workspace, all targets) =="
 cargo clippy --workspace --all-targets -- -D warnings
 echo "== tests (debug) =="
 cargo test --workspace
+echo "== benchmark self-tests (perfbench/, its own workspace) =="
+# Mini-scale report digests, request conservation and the auditor
+# check of the BENCHMARK.json workloads; release mode keeps it ~10 s.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 echo "== docs =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== examples build =="

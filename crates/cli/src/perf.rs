@@ -258,8 +258,6 @@ fn parse_lane(v: &Value) -> Result<(String, LaneProfile), String> {
         .to_string();
     let mut lane = LaneProfile {
         items: need_u64(v, "items")?,
-        cache_hits: need_u64(v, "cache_hits")?,
-        cache_misses: need_u64(v, "cache_misses")?,
         ..LaneProfile::default()
     };
     let spans = v
@@ -343,13 +341,10 @@ mod tests {
         p.sequencer.add_span(SpanKind::Busy, 300_000);
         p.sequencer.add_span(SpanKind::ChannelWait, 690_000);
         p.sequencer.items = 500;
-        p.sequencer.cache_hits = 10;
         let mut w = LaneProfile::default();
         w.add_span(SpanKind::Busy, 100_000);
         w.add_span(SpanKind::Idle, 890_000);
         w.items = 200;
-        w.cache_hits = 150;
-        w.cache_misses = 50;
         p.workers = vec![w, w];
         for _ in 0..400 {
             p.handoff_ns.record(58_000);

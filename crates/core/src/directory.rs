@@ -30,9 +30,9 @@
 //!
 //! Each object carries a monotonic [`version`](Directory::version),
 //! bumped on every membership or affinity change (not on count resets
-//! or request-count increments). Downstream caches — the simulator's
-//! redirect engine keys its per-(gateway, object) candidate cache on it
-//! — stay valid exactly as long as the replica set is unchanged.
+//! or request-count increments), so anything derived from the replica
+//! set — the sharded loop's per-object propagation bounds, for one —
+//! stays valid exactly as long as the version is unchanged.
 
 use radar_simnet::NodeId;
 
@@ -64,7 +64,7 @@ impl ReplicaSet {
 /// The distributed directory of replica locations: per-object replica
 /// sets with request counts and affinities, membership notifications,
 /// batched placement-epoch updates, and per-object versions for
-/// downstream caches.
+/// state derived from the replica sets.
 ///
 /// See the module docs for the layering rationale; [`crate::Redirector`]
 /// wraps a `Directory` and adds the Fig. 2 decision rule.
@@ -166,7 +166,8 @@ impl Directory {
     /// The object's provider-update version (§5): how many provider
     /// updates have been issued against its primary copy. Independent of
     /// the membership [`version`](Self::version) — replica churn never
-    /// bumps it, and it never invalidates candidate caches.
+    /// bumps it, and it never invalidates state keyed on the membership
+    /// version.
     pub fn update_version(&self, object: ObjectId) -> u64 {
         self.update_versions[object.index()]
     }
@@ -450,8 +451,8 @@ impl Directory {
 /// are as balanced as a modulo hash while keeping every shard's state a
 /// single `split_off`/`append` away from the parent vectors.
 ///
-/// Every consumer of the partition (directory, redirect-engine cache,
-/// the sharded event loop's dispatch table) derives it from this one
+/// Every consumer of the partition (directory, the sharded event
+/// loop's dispatch table) derives it from this one
 /// function, so the slices can never disagree.
 ///
 /// # Panics
@@ -829,7 +830,7 @@ mod tests {
         assert_eq!(d.bump_update_version(x()), 2);
         assert_eq!(d.update_version(x()), 2);
         // Membership churn leaves the update version alone, and vice
-        // versa: bumping never invalidates candidate caches.
+        // versa: bumping never moves the membership version.
         let membership = d.version(x());
         d.notify_created(x(), node(1));
         assert_eq!(d.update_version(x()), 2);

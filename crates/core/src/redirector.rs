@@ -286,17 +286,17 @@ impl Redirector {
     }
 
     /// Fig. 2 over a pre-filtered candidate list — the entry point for
-    /// redirect engines that cache candidates across requests. Each
-    /// candidate is `(entry_index, distance)`: the replica's index in
-    /// [`replicas`](Self::replicas) and its precomputed hop distance to
-    /// the requesting gateway. The caller guarantees the list matches the
-    /// object's *current* replica set (cache keyed on
-    /// [`Directory::version`]); usability filtering has already happened.
+    /// redirect engines that filter replicas themselves. Each candidate
+    /// is `(entry_index, distance)`: the replica's index in
+    /// [`replicas`](Self::replicas) and its hop distance to the
+    /// requesting gateway. The caller guarantees the list matches the
+    /// object's *current* replica set; usability filtering has already
+    /// happened.
     ///
     /// `closest` optionally names the entry index of the closest
     /// candidate `p` (minimum `(distance, host)`). Unlike request
-    /// counts, `p` is a pure function of the candidate list, so callers
-    /// caching the list can precompute it once and skip the per-request
+    /// counts, `p` is a pure function of the candidate list, so a caller
+    /// building the list can track it on the way and skip a second
     /// scan; `None` scans here.
     ///
     /// Identical decision semantics and side effects to the other
@@ -306,7 +306,7 @@ impl Redirector {
     /// # Panics
     ///
     /// Panics if an entry index is out of range for the replica set —
-    /// the symptom of a stale cache.
+    /// the symptom of a list built against a stale replica set.
     pub fn choose_among(
         &mut self,
         object: ObjectId,
@@ -463,7 +463,7 @@ fn decide_in(
         return None;
     }
     // p: closest usable replica to the gateway (precomputed by
-    // caching callers — it does not depend on request counts).
+    // filtering callers — it does not depend on request counts).
     let p_idx = closest.unwrap_or_else(|| {
         candidates
             .iter()
@@ -872,10 +872,10 @@ mod tests {
 
     #[test]
     fn choose_among_matches_choose_inner() {
-        // Feeding the cached-candidate entry point the same (index,
+        // Feeding the pre-filtered entry point the same (index,
         // distance) pairs choose_inner would build must reproduce the
         // decision stream exactly — the correctness contract the redirect
-        // engine's candidate cache relies on.
+        // engine relies on.
         let (mut r1, routes) = setup();
         let mut r2 = r1.clone();
         for i in 0..200 {

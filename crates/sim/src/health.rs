@@ -36,10 +36,6 @@ impl Simulation {
         let transition = self.fault_schedule[index];
         let now = t.as_secs();
         let routes_dirty = self.fault_state.apply(transition.kind);
-        // Any transition can change replica usability (crashes most of
-        // all); bumping unconditionally keeps the redirect engine's
-        // invalidation rule trivially safe.
-        self.fault_gen += 1;
         self.metrics.faults_injected += 1;
         if self.events.tracing {
             let qd = self.depth();
@@ -202,48 +198,31 @@ impl Simulation {
         }
         let now = t.as_secs();
         let floor = self.scenario.faults.min_replicas();
+        // Nothing in the sweep touches the load-report board, host
+        // parameters or liveness, so one ranking serves every object.
+        let headroom: Vec<f64> = (0..self.hosts.len())
+            .map(|j| self.hosts[j].params().low_watermark - self.load_reports[j].1)
+            .collect();
+        let ranked = rank_targets(&headroom, |j| self.fault_state.host_up(j as u16));
         for i in 0..self.scenario.num_objects {
             let object = ObjectId::new(i);
             loop {
-                let live: Vec<NodeId> = self
-                    .redirector
-                    .replicas(object)
+                let replicas = self.redirector.replicas(object);
+                let mut live = replicas
                     .iter()
                     .map(|r| r.host)
-                    .filter(|h| self.fault_state.host_up(h.index() as u16))
-                    .collect();
-                if live.len() as u32 >= floor {
+                    .filter(|h| self.fault_state.host_up(h.index() as u16));
+                let source = live.next();
+                if source.map_or(0, |_| 1 + live.count()) as u32 >= floor {
                     break;
                 }
                 let elapsed = now - self.below_min_since.get(&i).copied().unwrap_or(now);
-                let target = if let Some(&source) = live.first() {
-                    // Copy onto the live host with the most headroom on
-                    // the load-report board (ties broken by node id).
-                    let holders: Vec<NodeId> = self
-                        .redirector
-                        .replicas(object)
-                        .iter()
-                        .map(|r| r.host)
-                        .collect();
-                    let mut cands: Vec<(f64, usize)> = (0..self.hosts.len())
-                        .filter(|&j| self.fault_state.host_up(j as u16))
-                        .filter(|&j| !holders.contains(&NodeId::new(j as u16)))
-                        .map(|j| {
-                            (
-                                self.hosts[j].params().low_watermark - self.load_reports[j].1,
-                                j,
-                            )
-                        })
-                        .collect();
-                    if cands.is_empty() {
+                let target = if let Some(source) = source {
+                    let holds = |j: usize| replicas.iter().any(|r| r.host.index() == j);
+                    let Some(j) = pick_target(&ranked, holds) else {
                         break; // fewer live hosts than the floor
-                    }
-                    cands.sort_by(|a, b| {
-                        b.0.partial_cmp(&a.0)
-                            .expect("headroom is never NaN")
-                            .then(a.1.cmp(&b.1))
-                    });
-                    let target = NodeId::new(cands[0].1 as u16);
+                    };
+                    let target = NodeId::new(j as u16);
                     let hops = self.view.distance(source, target);
                     self.metrics
                         .record_overhead(now, (self.scenario.object_size * hops as u64) as f64);
@@ -277,5 +256,80 @@ impl Simulation {
             }
             self.refresh_one(now, object);
         }
+    }
+}
+
+/// Ranks the hosts `up` admits as re-replication targets: most
+/// `headroom` first, ties broken by node id.
+fn rank_targets(headroom: &[f64], up: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut ranked: Vec<usize> = (0..headroom.len()).filter(|&j| up(j)).collect();
+    ranked.sort_by(|&a, &b| {
+        headroom[b]
+            .partial_cmp(&headroom[a])
+            .expect("headroom is never NaN")
+            .then(a.cmp(&b))
+    });
+    ranked
+}
+
+/// The re-replication target for one object: the best-ranked host that
+/// does not already hold it, or `None` when every ranked host does.
+fn pick_target(ranked: &[usize], holds: impl Fn(usize) -> bool) -> Option<usize> {
+    ranked.iter().copied().find(|&j| !holds(j))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use radar_simcore::SimRng;
+
+    /// The per-object filter-and-sort the ranked pick replaces.
+    fn reference_pick(headroom: &[f64], up: &[bool], holds: &[bool]) -> Option<usize> {
+        let mut cands: Vec<(f64, usize)> = (0..headroom.len())
+            .filter(|&j| up[j] && !holds[j])
+            .map(|j| (headroom[j], j))
+            .collect();
+        cands.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .expect("headroom is never NaN")
+                .then(a.1.cmp(&b.1))
+        });
+        cands.first().map(|c| c.1)
+    }
+
+    #[test]
+    fn ranked_pick_matches_filter_and_sort() {
+        // Randomized boards with deliberate headroom ties (quantized,
+        // some negative), down hosts, and objects held by every host.
+        // Each object is topped up the way the sweep does it: pick,
+        // install, pick again, until no target remains.
+        let mut rng = SimRng::seed_from(0x0EE_2E91);
+        let mut fully_held = 0;
+        for n in 0..24usize {
+            for _ in 0..40 {
+                let headroom: Vec<f64> = (0..n).map(|_| rng.index(5) as f64 * 0.25 - 0.5).collect();
+                let up: Vec<bool> = (0..n).map(|_| rng.chance(0.8)).collect();
+                let ranked = rank_targets(&headroom, |j| up[j]);
+                for _ in 0..4 {
+                    let mut holds: Vec<bool> = if rng.chance(0.1) {
+                        vec![true; n]
+                    } else {
+                        (0..n).map(|_| rng.chance(0.4)).collect()
+                    };
+                    if !ranked.is_empty() && pick_target(&ranked, |j| holds[j]).is_none() {
+                        fully_held += 1;
+                    }
+                    loop {
+                        let got = pick_target(&ranked, |j| holds[j]);
+                        assert_eq!(got, reference_pick(&headroom, &up, &holds), "n {n}");
+                        match got {
+                            Some(j) => holds[j] = true,
+                            None => break,
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fully_held > 0, "some object must start on every live host");
     }
 }

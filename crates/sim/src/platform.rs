@@ -7,8 +7,8 @@
 //!   paths, and reachability over the live links);
 //! * directory — [`radar_core::Directory`] behind the [`Redirector`]
 //!   (replica sets, affinities, request counts, batched epoch updates);
-//! * redirect — [`crate::redirect::RedirectEngine`] (the Fig. 2
-//!   decision with a per-(gateway, object) candidate cache);
+//! * redirect — [`crate::redirect::RedirectEngine`] (the usable-replica
+//!   filter and the Fig. 2 decision, per request);
 //! * request lifecycle — `lifecycle.rs` (arrival → redirect → service
 //!   → delivery handlers);
 //! * placement — `env.rs` (the [`radar_core::placement::PlacementEnv`]
@@ -139,8 +139,8 @@ pub struct Simulation {
     pub(crate) hosts: Vec<HostState>,
     pub(crate) servers: Vec<FifoServer>,
     pub(crate) redirector: Redirector,
-    /// Decision layer: Fig. 2 with a per-(gateway, object) candidate
-    /// cache (engaged when the selection policy supports it).
+    /// Decision layer: the usable-replica filter and Fig. 2 (engaged
+    /// when the selection policy delegates to the Fig. 2 rule).
     pub(crate) redirect: RedirectEngine,
     pub(crate) catalog: Catalog,
     pub(crate) metrics: Metrics,
@@ -196,10 +196,6 @@ pub struct Simulation {
     pub(crate) fault_schedule: Vec<FaultTransition>,
     /// Live fault state replayed from the schedule.
     pub(crate) fault_state: FaultState,
-    /// Bumped on every applied fault transition; part of the redirect
-    /// engine's cache key (host liveness changes replica usability
-    /// without touching routing).
-    pub(crate) fault_gen: u32,
     /// Per-host crash epoch. Completions carry the epoch they entered
     /// service under, so work queued before a crash is seen as lost.
     pub(crate) host_epoch: Vec<u32>,
@@ -302,7 +298,6 @@ impl Simulation {
             .collect();
         let redirector =
             Redirector::new(scenario.num_objects, scenario.params.distribution_constant);
-        let redirect = RedirectEngine::new(scenario.num_objects, n);
         let catalog = scenario.catalog.clone().unwrap_or_else(|| {
             Catalog::uniform(scenario.num_objects, scenario.object_size, n as u16)
         });
@@ -335,7 +330,7 @@ impl Simulation {
             hosts,
             servers,
             redirector,
-            redirect,
+            redirect: RedirectEngine::default(),
             catalog,
             metrics,
             rng,
@@ -354,7 +349,6 @@ impl Simulation {
             recorded: None,
             fault_schedule,
             fault_state: FaultState::new(n),
-            fault_gen: 0,
             host_epoch: vec![0; n],
             declared_dead: vec![false; n],
             below_min_since: BTreeMap::new(),
@@ -433,7 +427,7 @@ impl Simulation {
     /// span accounting (busy / channel-wait /
     /// barrier-drain / reunite / idle) on the sequencer and every
     /// worker, hand-off latency and batch-size histograms, barrier
-    /// counters by cause, and candidate-cache hit/miss tallies. The
+    /// counters by cause. The
     /// returned handle yields live snapshots (published at every epoch
     /// barrier) for dashboards; the completed profile lands in
     /// [`RunReport::shard_profile`]. Like loop profiling, all numbers

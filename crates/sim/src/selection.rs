@@ -67,13 +67,14 @@ pub trait SelectionPolicy: Send {
     /// Policy name for reports.
     fn name(&self) -> &str;
 
-    /// `true` when the policy's decisions are a pure function of the
-    /// usable candidate set — i.e. it delegates to the redirector's
-    /// Fig. 2 rule — so the platform may route requests through its
-    /// candidate-caching redirect engine instead of this trait. Stateful
-    /// policies (round-robin cursors, randomized picks) must leave this
-    /// `false`.
-    fn supports_candidate_cache(&self) -> bool {
+    /// `true` when [`choose_available`](Self::choose_available) is the
+    /// redirector's Fig. 2 rule over the usable replicas and nothing
+    /// else, so the platform may decide through its redirect engine
+    /// (same filter, same decision, no per-request allocation) instead
+    /// of this trait. It also gates the sharded loop, whose workers run
+    /// that engine. Policies with their own state (round-robin cursors,
+    /// randomized picks) must leave this `false`.
+    fn uses_fig2_rule(&self) -> bool {
         false
     }
 }
@@ -130,7 +131,7 @@ impl SelectionPolicy for RadarSelection {
         "radar"
     }
 
-    fn supports_candidate_cache(&self) -> bool {
+    fn uses_fig2_rule(&self) -> bool {
         true
     }
 }

@@ -104,7 +104,7 @@ impl PlacementPolicy for AvailabilityPlacement {
         let mut object_ids = std::mem::take(scratch.object_ids_mut());
         host.collect_object_ids(&mut object_ids);
         for &x in &object_ids {
-            let o = host.object(x).expect("object_ids() returns hosted objects");
+            let o = host.object(x).expect("snapshot ids are hosted");
             let (aff, cnt_s, unit_load, acquired_at) =
                 (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
             // Same partial-window rule as the paper's algorithm: never
@@ -247,7 +247,7 @@ impl PlacementPolicy for ClusterPlacement {
         let mut object_ids = std::mem::take(scratch.object_ids_mut());
         host.collect_object_ids(&mut object_ids);
         for &x in &object_ids {
-            let o = host.object(x).expect("object_ids() returns hosted objects");
+            let o = host.object(x).expect("snapshot ids are hosted");
             let (aff, cnt_s, unit_load, acquired_at) =
                 (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
             if acquired_at > host.last_placement_run() {
@@ -332,9 +332,12 @@ impl PlacementPolicy for ClusterPlacement {
             if let Some((recipient, mut recipient_load)) = env.find_offload_recipient(s) {
                 let shed = scratch.keyed_objects_mut();
                 shed.clear();
-                host.collect_object_ids(&mut object_ids);
+                // The snapshot above is still the object set, ascending,
+                // minus the drops: `create_obj` never targets `s`.
                 for &x in &object_ids {
-                    let o = host.object(x).expect("hosted");
+                    let Some(o) = host.object(x) else {
+                        continue;
+                    };
                     if o.acquired_at() > host.last_placement_run() {
                         continue;
                     }
@@ -397,5 +400,75 @@ impl PlacementPolicy for ClusterPlacement {
 
     fn name(&self) -> &str {
         "cluster"
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use radar_core::{CreateObjResponse, Params};
+
+    /// Accepts every transfer and drop; node 1 is always an idle
+    /// offload recipient.
+    struct AcceptAll;
+
+    impl PlacementEnv for AcceptAll {
+        fn create_obj(&mut self, _: NodeId, _: CreateObjRequest) -> CreateObjResponse {
+            CreateObjResponse::Accepted { new_copy: true }
+        }
+
+        fn request_drop(&mut self, _: ObjectId, _: NodeId) -> bool {
+            true
+        }
+
+        fn notify_affinity(&mut self, _: ObjectId, _: NodeId, _: u32) {}
+
+        fn find_offload_recipient(&mut self, _: NodeId) -> Option<(NodeId, f64)> {
+            Some((NodeId::new(1), 0.0))
+        }
+
+        fn distance(&self, _: NodeId, _: NodeId) -> u32 {
+            1
+        }
+
+        fn may_replicate(&self, _: ObjectId) -> bool {
+            true
+        }
+
+        fn replica_count(&self, _: ObjectId) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn cluster_shedding_skips_objects_dropped_this_epoch() {
+        let s = NodeId::new(0);
+        let x = ObjectId::new;
+        let mut host = HostState::new(s, Params::paper());
+        for i in 0..3 {
+            host.install_object(x(i));
+        }
+        // 100 req/s on x1 and x2 through every measurement window (above
+        // the 90 req/s high watermark); x0 is never asked for.
+        for k in 0..10_000u32 {
+            let object = x(1 + k % 2);
+            host.record_access(object, &[s]);
+            host.record_serviced(f64::from(k) * 0.01, object);
+        }
+        let mut out = PlacementOutcome::default();
+        ClusterPlacement::new().run_epoch(
+            &mut host,
+            100.0,
+            &mut AcceptAll,
+            &mut PlacementScratch::default(),
+            &mut out,
+        );
+        assert!(out.offloading_mode);
+        assert_eq!(out.drops, vec![x(0)]);
+        assert_eq!(
+            out.offload_migrations.first(),
+            Some(&(x(1), NodeId::new(1)))
+        );
+        assert!(!host.has_object(x(0)));
     }
 }

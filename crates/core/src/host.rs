@@ -1,57 +1,48 @@
 //! Per-host protocol state: hosted objects, access counts, affinities,
 //! and windowed load measurement.
 
-use std::collections::BTreeMap;
-
 use radar_simnet::NodeId;
 
+use crate::table::{Replica, ReplicaTable};
 use crate::{LoadEstimator, ObjectId, Params};
 
 /// State a host keeps for one of its object replicas (paper §4.1):
 /// the replica affinity `aff(x_s)`, the per-candidate access counts
 /// `cnt(p, x_s)` accumulated since the last placement run, and the
 /// replica's measured request rate `load(x_s)`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ObjectState {
-    aff: u32,
-    /// `cnt(p, x_s)`: how many requests for this object had node `p` on
-    /// their preference path since the last placement run. The own node's
-    /// entry is the total access count `cnt(x_s)`. A flat vector beats a
-    /// tree map here: the set of path members seen in one window is
-    /// small, increments are linear probes over contiguous memory, and
-    /// the per-epoch reset keeps the capacity instead of freeing nodes.
-    /// Entries are in first-seen order; no consumer depends on order.
-    access_counts: Vec<(NodeId, u64)>,
-    /// Requests for this object serviced in the current (incomplete)
-    /// measurement window.
-    window_serviced: u64,
-    /// `load(x_s)`: this replica's serviced-request rate over the last
-    /// completed measurement window (requests/second).
-    rate: f64,
-    /// When this replica was last acquired (created or affinity-bumped)
-    /// via `CreateObj`. Zero for bootstrap installs.
-    acquired_at: f64,
+///
+/// A read-only view into the host's replica table, returned by
+/// [`HostState::object`].
+#[derive(Debug, Clone, Copy)]
+pub struct ObjectState<'a> {
+    replica: &'a Replica,
+    /// The owning host's current measurement window.
+    window: u32,
+    /// The owning host's measurement interval (seconds).
+    interval: f64,
 }
 
-impl ObjectState {
+impl<'a> ObjectState<'a> {
     /// The replica's affinity.
     pub fn aff(&self) -> u32 {
-        self.aff
+        self.replica.aff
     }
 
-    /// The replica's measured request rate `load(x_s)` (requests/second).
+    /// The replica's measured request rate `load(x_s)`: its serviced
+    /// requests over the last completed measurement window, per second.
     pub fn rate(&self) -> f64 {
-        self.rate
+        self.replica.last_window_serviced(self.window) as f64 / self.interval
     }
 
     /// The replica's *unit load* `load(x_s)/aff(x_s)`.
     pub fn unit_load(&self) -> f64 {
-        self.rate / self.aff as f64
+        self.rate() / self.aff() as f64
     }
 
     /// Access count of candidate `p` since the last placement run.
     pub fn count(&self, p: NodeId) -> u64 {
-        self.access_counts
+        self.replica
+            .access_counts
             .iter()
             .find(|&&(q, _)| q == p)
             .map_or(0, |&(_, c)| c)
@@ -60,14 +51,28 @@ impl ObjectState {
     /// Iterates `(candidate, count)` pairs in first-seen order. Every
     /// consumer either folds over the counts or re-sorts by its own key,
     /// so the iteration order is not observable in protocol decisions.
-    pub fn counts(&self) -> impl Iterator<Item = (NodeId, u64)> + '_ {
-        self.access_counts.iter().copied()
+    pub fn counts(&self) -> impl Iterator<Item = (NodeId, u64)> + 'a {
+        self.replica.access_counts.iter().copied()
     }
 
     /// When this replica was last acquired via `CreateObj` (0 for
     /// bootstrap installs).
     pub fn acquired_at(&self) -> f64 {
-        self.acquired_at
+        self.replica.acquired_at
+    }
+}
+
+impl PartialEq for ObjectState<'_> {
+    /// Compares the replica's state as the host sees it now: stored
+    /// serviced counts are normalised to the host's current window.
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.replica, other.replica);
+        a.aff == b.aff
+            && a.acquired_at == b.acquired_at
+            && a.access_counts == b.access_counts
+            && a.last_window_serviced(self.window) == b.last_window_serviced(other.window)
+            && a.window_serviced(self.window) == b.window_serviced(other.window)
+            && self.interval == other.interval
     }
 }
 
@@ -92,7 +97,7 @@ impl ObjectState {
 /// host.record_access(x, &[NodeId::new(0), NodeId::new(3)]);
 /// assert_eq!(host.object(x).unwrap().count(NodeId::new(3)), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HostState {
     node: NodeId,
     params: Params,
@@ -100,13 +105,38 @@ pub struct HostState {
     load: LoadEstimator,
     window_start: f64,
     window_total: u64,
+    /// Completed measurement windows, i.e. the index of the current one.
+    /// Replicas roll their serviced counts against it lazily.
+    window: u32,
     /// Time of the most recently completed placement run.
     last_placement_run: f64,
     /// Maximum number of distinct objects this host can store
     /// (`None` = unbounded). The paper's §2.1 storage-load component,
     /// reduced to its admission effect: a full host refuses new copies.
     storage_limit: Option<usize>,
-    objects: BTreeMap<ObjectId, ObjectState>,
+    objects: ReplicaTable,
+}
+
+impl PartialEq for HostState {
+    /// Replica tables compare as sets: their slab order is insertion
+    /// history, not state, so two hosts that installed the same objects
+    /// in different orders are equal.
+    fn eq(&self, other: &Self) -> bool {
+        self.node == other.node
+            && self.params == other.params
+            && self.offloading == other.offloading
+            && self.load == other.load
+            && self.window_start == other.window_start
+            && self.window_total == other.window_total
+            && self.window == other.window
+            && self.last_placement_run == other.last_placement_run
+            && self.storage_limit == other.storage_limit
+            && self.objects.len() == other.objects.len()
+            && self
+                .objects
+                .iter()
+                .all(|r| other.object(r.id) == Some(self.view(r)))
+    }
 }
 
 impl HostState {
@@ -119,9 +149,10 @@ impl HostState {
             load: LoadEstimator::new(),
             window_start: 0.0,
             window_total: 0,
+            window: 0,
             last_placement_run: 0.0,
             storage_limit: None,
-            objects: BTreeMap::new(),
+            objects: ReplicaTable::default(),
         }
     }
 
@@ -178,49 +209,49 @@ impl HostState {
 
     /// Sum of affinities over all hosted objects (logical replicas held).
     pub fn total_affinity(&self) -> u64 {
-        self.objects.values().map(|o| o.aff as u64).sum()
+        self.objects.iter().map(|r| r.aff as u64).sum()
     }
 
     /// `true` if this host has a replica of `object`.
     pub fn has_object(&self, object: ObjectId) -> bool {
-        self.objects.contains_key(&object)
+        self.objects.get(object).is_some()
     }
 
     /// The state of `object` on this host, if present.
-    pub fn object(&self, object: ObjectId) -> Option<&ObjectState> {
-        self.objects.get(&object)
+    pub fn object(&self, object: ObjectId) -> Option<ObjectState<'_>> {
+        self.objects.get(object).map(|r| self.view(r))
     }
 
-    /// Ids of all hosted objects, ascending (deterministic placement
-    /// iteration order).
-    pub fn object_ids(&self) -> Vec<ObjectId> {
-        self.objects.keys().copied().collect()
+    fn view<'a>(&self, replica: &'a Replica) -> ObjectState<'a> {
+        ObjectState {
+            replica,
+            window: self.window,
+            interval: self.params.measurement_interval,
+        }
     }
 
-    /// Snapshots the hosted object ids (ascending) into a caller-owned
+    /// Snapshots the hosted object ids, ascending, into a caller-owned
     /// buffer, so hot placement paths reuse one allocation across runs.
+    /// Ascending id order is the deterministic placement iteration
+    /// order; the replica table itself is unordered.
     pub fn collect_object_ids(&self, out: &mut Vec<ObjectId>) {
-        out.clear();
-        out.extend(self.objects.keys().copied());
+        self.objects.collect_ids(out);
     }
 
     // ---- measurement ----------------------------------------------------
 
     /// Rolls the measurement clock forward to `now`, completing any
     /// measurement intervals that have fully elapsed. Each completed
-    /// interval installs per-object rates and the host-level measured
-    /// load.
+    /// interval installs the host-level measured load; per-object rates
+    /// follow from the window index without visiting the replicas.
     pub fn advance(&mut self, now: f64) {
         let interval = self.params.measurement_interval;
         while now >= self.window_start + interval {
             let total_rate = self.window_total as f64 / interval;
-            for obj in self.objects.values_mut() {
-                obj.rate = obj.window_serviced as f64 / interval;
-                obj.window_serviced = 0;
-            }
             self.load.complete_window(total_rate, self.window_start);
             self.window_total = 0;
             self.window_start += interval;
+            self.window += 1;
         }
     }
 
@@ -232,7 +263,7 @@ impl HostState {
     /// system a request can race with a migration; the replica-set subset
     /// invariant makes this window tiny but not empty.
     pub fn record_access(&mut self, object: ObjectId, preference_path: &[NodeId]) {
-        if let Some(obj) = self.objects.get_mut(&object) {
+        if let Some(obj) = self.objects.get_mut(object) {
             for &p in preference_path {
                 match obj.access_counts.iter_mut().find(|&&mut (q, _)| q == p) {
                     Some(&mut (_, ref mut c)) => *c += 1,
@@ -247,8 +278,8 @@ impl HostState {
     pub fn record_serviced(&mut self, now: f64, object: ObjectId) {
         self.advance(now);
         self.window_total += 1;
-        if let Some(obj) = self.objects.get_mut(&object) {
-            obj.window_serviced += 1;
+        if let Some(obj) = self.objects.get_mut(object) {
+            obj.record_serviced(self.window);
         }
     }
 
@@ -256,7 +287,7 @@ impl HostState {
     /// placement run ("since the last execution of the replica placement
     /// algorithm").
     pub fn reset_access_counts(&mut self) {
-        for obj in self.objects.values_mut() {
+        for obj in self.objects.iter_mut() {
             // `Vec::clear` keeps the capacity: the next window's
             // `record_access` refills in place, so the per-epoch
             // reset/refill cycle performs no heap traffic.
@@ -316,8 +347,7 @@ impl HostState {
     /// no load-estimate effects). If the object is already present its
     /// affinity is incremented.
     pub fn install_object(&mut self, object: ObjectId) {
-        let obj = self.objects.entry(object).or_default();
-        obj.aff += 1;
+        self.objects.get_or_insert(object, self.window).0.aff += 1;
     }
 
     /// Accepts an object via `CreateObj` at time `now`, applying the
@@ -325,8 +355,7 @@ impl HostState {
     /// `true` if a new physical copy was created (data transfer needed),
     /// `false` if this was an affinity increment.
     pub fn accept_object(&mut self, now: f64, object: ObjectId, unit_load: f64) -> bool {
-        let new_copy = !self.objects.contains_key(&object);
-        let obj = self.objects.entry(object).or_default();
+        let (obj, new_copy) = self.objects.get_or_insert(object, self.window);
         obj.aff += 1;
         obj.acquired_at = now;
         self.load.note_acquired(now, 4.0 * unit_load);
@@ -344,7 +373,7 @@ impl HostState {
     pub fn reduce_affinity(&mut self, object: ObjectId) -> u32 {
         let obj = self
             .objects
-            .get_mut(&object)
+            .get_mut(object)
             .unwrap_or_else(|| panic!("reduce_affinity: {object} not hosted"));
         assert!(
             obj.aff >= 2,
@@ -361,7 +390,7 @@ impl HostState {
     ///
     /// Panics if the object is not hosted.
     pub fn drop_object(&mut self, object: ObjectId) {
-        let removed = self.objects.remove(&object);
+        let removed = self.objects.remove(object);
         assert!(removed.is_some(), "drop_object: {object} not hosted");
     }
 }
@@ -388,8 +417,33 @@ mod tests {
         assert_eq!(h.object(x(1)).unwrap().aff(), 2);
         assert_eq!(h.object_count(), 2);
         assert_eq!(h.total_affinity(), 3);
-        assert_eq!(h.object_ids(), vec![x(1), x(2)]);
+        let mut ids = vec![x(99)];
+        h.collect_object_ids(&mut ids);
+        assert_eq!(ids, vec![x(1), x(2)]);
         assert!(h.object(x(9)).is_none());
+    }
+
+    #[test]
+    fn equality_ignores_install_order() {
+        let (mut a, mut b) = (host(), host());
+        for i in 0..200 {
+            a.install_object(x(i));
+            b.install_object(x(199 - i));
+        }
+        a.drop_object(x(3));
+        b.drop_object(x(3));
+        assert_eq!(a, b);
+        // Lazily and eagerly rolled windows of equal counts compare equal.
+        a.record_serviced(1.0, x(7));
+        b.record_serviced(1.0, x(7));
+        a.record_serviced(25.0, x(8));
+        b.record_serviced(25.0, x(9));
+        assert_ne!(a, b);
+        b.record_serviced(25.0, x(8));
+        a.record_serviced(25.0, x(9));
+        assert_eq!(a, b);
+        a.install_object(x(3));
+        assert_ne!(a, b);
     }
 
     #[test]

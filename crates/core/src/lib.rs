@@ -72,6 +72,7 @@ mod load;
 mod params;
 pub mod placement;
 mod redirector;
+mod table;
 mod types;
 
 pub use catalog::{Catalog, ConsistencyMix, ObjectKind};

@@ -82,8 +82,9 @@ pub trait PlacementEnv {
 /// high-water capacity.
 #[derive(Debug, Clone, Default)]
 pub struct PlacementScratch {
-    /// Snapshot of the host's object ids (the host table is mutated
-    /// while iterating).
+    /// Snapshot of the host's object ids, ascending (the host table is
+    /// mutated while iterating). The offloader walks it again after the
+    /// geo phase.
     object_ids: Vec<ObjectId>,
     /// Qualified-candidate buffer for the geo phases:
     /// `(hop distance from the deciding host, candidate, share)`.
@@ -347,7 +348,7 @@ pub fn run_placement_into(
         // migration candidate scan below (it ends before the first
         // `&mut host` use, so the deletion/migration mutations borrow-
         // check against a fresh `host`).
-        let o = host.object(x).expect("object_ids() returns hosted objects");
+        let o = host.object(x).expect("snapshot ids are hosted");
         let (aff, cnt_s, unit_load, acquired_at) =
             (o.aff(), o.count(s), o.unit_load(), o.acquired_at());
         // A replica acquired since the last run has only partial-window
@@ -500,7 +501,7 @@ pub fn run_placement_into(
 /// in the buffer, so the sort needs no cached-key side allocation and
 /// no `env.distance` virtual calls per comparison.
 fn qualified_candidates(
-    o: &crate::ObjectState,
+    o: crate::ObjectState<'_>,
     s: NodeId,
     cnt_s: u64,
     ratio: f64,
@@ -521,6 +522,8 @@ fn qualified_candidates(
 /// recipient, re-computing the conservative lower (self) and upper
 /// (recipient) load estimates after every transfer, and stopping as soon
 /// as either estimate crosses the low watermark or the recipient refuses.
+/// Runs after the geo phase, whose id snapshot in `scratch.object_ids`
+/// it walks again.
 fn offload(
     host: &mut HostState,
     now: f64,
@@ -540,8 +543,10 @@ fn offload(
     let s = host.node();
 
     // Objects with the highest foreign-request share first: these gain
-    // (or lose least) proximity when moved.
-    host.collect_object_ids(&mut scratch.object_ids);
+    // (or lose least) proximity when moved. The geo phase's id snapshot
+    // is still this host's object set, ascending, minus what it dropped:
+    // during an epoch the set only shrinks (`create_obj` never targets
+    // the deciding host), so skipping absent ids equals a fresh snapshot.
     scratch.offload_objects.clear();
     for &x in &scratch.object_ids {
         // Same partial-window rule as the geo phase (never shed a
@@ -551,7 +556,9 @@ fn offload(
         if scratch.moved.binary_search(&x).is_ok() {
             continue;
         }
-        let o = host.object(x).expect("hosted");
+        let Some(o) = host.object(x) else {
+            continue;
+        };
         if o.acquired_at() > host.last_placement_run() {
             continue;
         }
@@ -832,7 +839,11 @@ mod tests {
         };
         run_placement_into(&mut host_b, 100.0, &mut env_b, &mut scratch, &mut out);
         assert_eq!(fresh, out);
-        assert_eq!(host_a.object_ids(), host_b.object_ids());
+        let (mut ids_a, mut ids_b) = (Vec::new(), vec![x(95)]);
+        host_a.collect_object_ids(&mut ids_a);
+        host_b.collect_object_ids(&mut ids_b);
+        assert_eq!(ids_a, ids_b);
+        assert_eq!(host_a, host_b);
     }
 
     #[test]

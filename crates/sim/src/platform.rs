@@ -561,10 +561,19 @@ impl Simulation {
         // Initial object placement.
         match self.scenario.initial_placement.clone() {
             InitialPlacement::RoundRobin => {
+                // Same installs as `install` per object, but the host
+                // tables fill one host at a time: interleaving every
+                // host's hash index per object misses the cache on each
+                // insert, which doubled set-up at 100k objects.
                 let n = self.hosts.len() as u32;
                 for i in 0..self.scenario.num_objects {
                     let node = NodeId::new((i % n) as u16);
-                    self.install(ObjectId::new(i), node);
+                    self.redirector.install(ObjectId::new(i), node);
+                }
+                for (h, host) in self.hosts.iter_mut().enumerate() {
+                    for i in (h as u32..self.scenario.num_objects).step_by(n as usize) {
+                        host.install_object(ObjectId::new(i));
+                    }
                 }
             }
             InitialPlacement::Everywhere => {
